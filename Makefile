@@ -107,6 +107,8 @@ bench-check:
 
 # fuzz runs the native fuzzers for a short budget each (they also run as
 # plain regression tests under `make test` via their seed corpora).
+# FuzzDecodeBody holds the /v1/decode parser to the encoding/json path.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQR -fuzztime=30s ./internal/cmatrix/
 	$(GO) test -run='^$$' -fuzz=FuzzSlice -fuzztime=30s ./internal/constellation/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBody -fuzztime=30s ./internal/serve/

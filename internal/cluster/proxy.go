@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -539,18 +538,18 @@ func (p *Proxy) Decode(ctx context.Context, req *serve.DecodeRequest) (*DecodeRe
 		p.m.invalid.Add(1)
 		return nil, fmt.Errorf("%w: %s", core.ErrInvalidInput, err)
 	}
+	return p.decodeInput(ctx, in, req.Scenario)
+}
+
+// decodeInput is Decode for a parsed frame labelled scenario.
+func (p *Proxy) decodeInput(ctx context.Context, in core.BatchInput, scenario string) (*DecodeResponse, error) {
 	if err := p.fallback.ValidateInput(in); err != nil {
 		p.m.invalid.Add(1)
 		return nil, err
 	}
 	p.m.submitted.Add(1)
-	p.m.scenarioAdd(req.Scenario, func(c *scenarioCounters) { c.submitted++ })
-	body, err := json.Marshal(req)
-	if err != nil {
-		p.m.failed.Add(1)
-		p.m.scenarioAdd(req.Scenario, func(c *scenarioCounters) { c.failed++ })
-		return nil, fmt.Errorf("cluster: marshal frame: %w", err)
-	}
+	p.m.scenarioAdd(scenario, func(c *scenarioCounters) { c.submitted++ })
+	body := serve.AppendFrame(make([]byte, 0, forwardBodySize(in)), in, scenario)
 	key := in.H.Fingerprint()
 	o, attempts, hedged, rerr := p.race(ctx, p.candidates(key), body)
 	if rerr == nil {
@@ -565,7 +564,7 @@ func (p *Proxy) Decode(ctx context.Context, req *serve.DecodeRequest) (*DecodeRe
 			p.m.hedgeWins.Add(1)
 		}
 		p.m.ok.Add(1)
-		p.m.scenarioAdd(req.Scenario, func(c *scenarioCounters) {
+		p.m.scenarioAdd(scenario, func(c *scenarioCounters) {
 			c.ok++
 			if o.idx > 0 {
 				c.failovers++
@@ -582,12 +581,12 @@ func (p *Proxy) Decode(ctx context.Context, req *serve.DecodeRequest) (*DecodeRe
 	}
 	if isPermanent(rerr) {
 		p.m.failed.Add(1)
-		p.m.scenarioAdd(req.Scenario, func(c *scenarioCounters) { c.failed++ })
+		p.m.scenarioAdd(scenario, func(c *scenarioCounters) { c.failed++ })
 		return nil, rerr
 	}
 	if ctx.Err() != nil {
 		p.m.failed.Add(1)
-		p.m.scenarioAdd(req.Scenario, func(c *scenarioCounters) { c.failed++ })
+		p.m.scenarioAdd(scenario, func(c *scenarioCounters) { c.failed++ })
 		return nil, rerr
 	}
 	// Every replica dark, broken, or erroring: keep the zero-drop contract
@@ -595,14 +594,20 @@ func (p *Proxy) Decode(ctx context.Context, req *serve.DecodeRequest) (*DecodeRe
 	resp, ferr := p.fallbackDecode(in, attempts, hedged)
 	if ferr != nil {
 		p.m.failed.Add(1)
-		p.m.scenarioAdd(req.Scenario, func(c *scenarioCounters) { c.failed++ })
+		p.m.scenarioAdd(scenario, func(c *scenarioCounters) { c.failed++ })
 		return nil, errors.Join(rerr, ferr)
 	}
-	p.m.scenarioAdd(req.Scenario, func(c *scenarioCounters) {
+	p.m.scenarioAdd(scenario, func(c *scenarioCounters) {
 		c.ok++
 		c.fallbacks++
 	})
 	return resp, nil
+}
+
+// forwardBodySize estimates the encoded size of a forwarded frame: about 24
+// bytes per shortest-form float, two per [re, im] entry.
+func forwardBodySize(in core.BatchInput) int {
+	return 64 + 48*(len(in.H.Data)+len(in.Y))
 }
 
 // fallbackDecode answers one frame from the proxy-local linear decoder.

@@ -2,7 +2,12 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // TestProxyScenarioSplit: labeled frames must show up in the proxy's
@@ -65,5 +70,51 @@ func TestProxyScenarioSplit(t *testing.T) {
 	st.Scenarios["degraded"] = ScenarioStats{}
 	if p.Stats().Scenarios["degraded"].Submitted != 1 {
 		t.Error("Stats returned a live scenario map")
+	}
+}
+
+// TestHTTPEnvelopeScenario: an envelope-level label reaches every frame that
+// does not set its own, in the proxy's split and on the forwarded frames.
+func TestHTTPEnvelopeScenario(t *testing.T) {
+	stubs := []*stubShard{newStubShard(t, 1, "a"), newStubShard(t, 1, "b")}
+	p := newTestProxy(t, stubs, nil)
+	front := httptest.NewServer(NewHandler(p))
+	defer front.Close()
+
+	env := serve.DecodeRequest{Scenario: "grid"}
+	for _, f := range genFrames(t, 3, 93) {
+		env.Frames = append(env.Frames, *toWire(f))
+	}
+	env.Frames[2].Scenario = "own"
+	body, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(front.URL+"/v1/decode", "application/json", bytesReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/decode: %v", err)
+	}
+	var br BatchDecodeResponse
+	mustDecode(t, resp, http.StatusOK, &br)
+	for i, r := range br.Results {
+		if r.Error != "" {
+			t.Fatalf("frame %d: %s", i, r.Error)
+		}
+	}
+
+	st := p.Stats()
+	if grid, own := st.Scenarios["grid"], st.Scenarios["own"]; grid.Submitted != 2 || grid.OK != 2 || own.Submitted != 1 {
+		t.Errorf("proxy split grid %+v, own %+v; want 2 and 1 submitted", grid, own)
+	}
+	forwarded := map[string]int{}
+	for _, s := range stubs {
+		s.mu.Lock()
+		for label, n := range s.labels {
+			forwarded[label] += n
+		}
+		s.mu.Unlock()
+	}
+	if forwarded["grid"] != 2 || forwarded["own"] != 1 || len(forwarded) != 2 {
+		t.Errorf("shards saw labels %v, want grid:2 own:1", forwarded)
 	}
 }

@@ -33,7 +33,7 @@ func newFactory(t *testing.T) func() (Backend, error) {
 }
 
 // genInputs draws deterministic test frames.
-func genInputs(t *testing.T, n int, seed uint64) []core.BatchInput {
+func genInputs(t testing.TB, n int, seed uint64) []core.BatchInput {
 	t.Helper()
 	r := rng.New(seed)
 	out := make([]core.BatchInput, n)
