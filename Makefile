@@ -107,8 +107,17 @@ bench-check:
 
 # fuzz runs the native fuzzers for a short budget each (they also run as
 # plain regression tests under `make test` via their seed corpora).
-# FuzzDecodeBody holds the /v1/decode parser to the encoding/json path.
+# FuzzDecodeBody holds the /v1/decode parser to the encoding/json path:
+# the same bodies accepted, bit-identical frames and labels.
+# FuzzParseNumber holds the fused number scan to json.Valid (the same bare
+# numbers accepted) and to strconv.ParseFloat (bit-identical values, the
+# same out-of-range verdict).
+# FuzzDecodeHandler holds the /v1/decode handler to its HTTP contract: no
+# panic, only 200/400/413, 4xx coded bad_request or invalid_input, and every
+# 200 a JSON answer with one result per submitted frame.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQR -fuzztime=30s ./internal/cmatrix/
 	$(GO) test -run='^$$' -fuzz=FuzzSlice -fuzztime=30s ./internal/constellation/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBody -fuzztime=30s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz=FuzzParseNumber -fuzztime=30s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeHandler -fuzztime=30s ./internal/serve/

@@ -114,7 +114,9 @@ func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteAnswer(w, func(dst []byte) []byte {
+		return append(resp.appendMembers(append(dst, '{')), '}')
+	})
 }
 
 // BatchDecodeResult is one frame's outcome inside a BatchDecodeResponse.
@@ -147,7 +149,18 @@ func (h *handler) decodeBatch(w http.ResponseWriter, r *http.Request, body *serv
 		}(i, in, body.Labels[i])
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, BatchDecodeResponse{APIVersion: serve.APIVersion, Results: results})
+	serve.WriteAnswer(w, func(dst []byte) []byte { return appendBatchAnswer(dst, results) })
+}
+
+// appendBatchAnswer appends the BatchDecodeResponse carrying results.
+func appendBatchAnswer(dst []byte, results []BatchDecodeResult) []byte {
+	return serve.AppendBatchResponse(dst, len(results), func(dst []byte, i int) []byte {
+		r := &results[i]
+		if r.DecodeResponse != nil {
+			dst = r.appendMembers(dst)
+		}
+		return serve.AppendErrorMember(dst, r.Error, r.DecodeResponse != nil)
+	})
 }
 
 func (h *handler) config(w http.ResponseWriter, _ *http.Request) {

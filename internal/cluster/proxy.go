@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -450,7 +451,8 @@ func (p *Proxy) race(ctx context.Context, candidates []*shard, body []byte) (att
 				p.m.darkSkips.Add(1)
 				continue
 			}
-			if ok, _ := sh.breaker.Allow(); !ok {
+			ok, probe := sh.breaker.Allow()
+			if !ok {
 				p.m.breakerSkips.Add(1)
 				continue
 			}
@@ -463,15 +465,20 @@ func (p *Proxy) race(ctx context.Context, candidates []*shard, body []byte) (att
 				resp, err := sh.decode(actx, body)
 				switch {
 				case err == nil:
-					sh.breaker.Success()
+					sh.breaker.Success(probe)
 					sh.observeLatency(time.Since(start))
 					if !won.CompareAndSwap(false, true) {
 						p.m.hedgeWaste.Add(1)
 					}
 				case isPermanent(err):
-					// The request is at fault, not the shard: no verdict.
+					// The request is at fault, not the shard. A probe still
+					// settles as a success, since the shard answered; any
+					// other call leaves the failure run as it was.
+					if probe {
+						sh.breaker.Success(true)
+					}
 				default:
-					sh.breaker.Failure()
+					sh.breaker.Failure(probe)
 				}
 				results <- attemptOut{resp: resp, err: err, sh: sh, idx: idx, hedge: hedge}
 			}()
@@ -655,6 +662,26 @@ type DecodeResponse struct {
 	Hedged     bool   `json:"hedged,omitempty"`
 	FailedOver bool   `json:"failed_over,omitempty"`
 	Fallback   bool   `json:"fallback,omitempty"`
+}
+
+// appendMembers appends r's members as encoding/json writes them, without
+// the enclosing braces: the shard's answer, then the proxy's own fields.
+func (r *DecodeResponse) appendMembers(dst []byte) []byte {
+	dst = serve.AppendDecodeResponse(dst, &r.DecodeResponse)
+	if r.Shard != "" {
+		dst = serve.AppendString(append(dst, `,"shard":`...), r.Shard)
+	}
+	dst = strconv.AppendInt(append(dst, `,"attempts":`...), int64(r.Attempts), 10)
+	if r.Hedged {
+		dst = append(dst, `,"hedged":true`...)
+	}
+	if r.FailedOver {
+		dst = append(dst, `,"failed_over":true`...)
+	}
+	if r.Fallback {
+		dst = append(dst, `,"fallback":true`...)
+	}
+	return dst
 }
 
 // Stats is the proxy's /metrics snapshot.

@@ -30,8 +30,9 @@ const (
 	// BreakerOpen fails fast: traffic is routed around the backend until a
 	// jittered cooldown elapses.
 	BreakerOpen
-	// BreakerHalfOpen admits exactly one probe; its outcome decides between
-	// closing again and re-opening with a longer cooldown.
+	// BreakerHalfOpen admits exactly one probe; its outcome, and no other
+	// call's, decides between closing again and re-opening with a longer
+	// cooldown.
 	BreakerHalfOpen
 )
 
@@ -108,8 +109,8 @@ type BreakerCounters struct {
 	Probes uint64 `json:"probes"`
 	// Reclosed counts half-open→closed recoveries.
 	Reclosed uint64 `json:"reclosed"`
-	// ShortCircuited counts calls refused while open (or while a half-open
-	// probe was already in flight).
+	// ShortCircuited counts calls refused while open (or while the half-open
+	// probe was in flight).
 	ShortCircuited uint64 `json:"short_circuited"`
 }
 
@@ -124,7 +125,6 @@ type Breaker struct {
 	openedAt  time.Time     // when the breaker last opened
 	cooldown  time.Duration // current open dwell
 	prevSleep time.Duration // decorrelated-jitter state
-	probing   bool          // a half-open probe is in flight
 	jitter    *rng.Rand
 	counters  BreakerCounters
 }
@@ -136,8 +136,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 }
 
 // Allow reports whether a call may proceed. probe is true when the admitted
-// call is the half-open probe whose outcome decides the breaker's fate — the
-// caller MUST report it via Success or Failure, or the breaker stays
+// call is the half-open probe whose outcome decides the breaker's fate. The
+// caller MUST report every admitted call via Success or Failure with the
+// probe flag Allow returned for it; an unreported probe leaves the breaker
 // half-open forever.
 func (b *Breaker) Allow() (ok, probe bool) {
 	b.mu.Lock()
@@ -148,56 +149,50 @@ func (b *Breaker) Allow() (ok, probe bool) {
 	case BreakerOpen:
 		if b.cfg.now().Sub(b.openedAt) >= b.cooldown {
 			b.state = BreakerHalfOpen
-			b.probing = true
 			b.counters.Probes++
 			return true, true
 		}
-		b.counters.ShortCircuited++
-		return false, false
-	default: // BreakerHalfOpen
-		if !b.probing {
-			// The probe resolved between the state read and now; admit the
-			// next caller as a fresh probe.
-			b.probing = true
-			b.counters.Probes++
-			return true, true
-		}
-		b.counters.ShortCircuited++
-		return false, false
 	}
+	// Open and cooling down, or half-open with the probe in flight: only the
+	// probe's own report ends the half-open state.
+	b.counters.ShortCircuited++
+	return false, false
 }
 
-// Success records a successful call. A half-open probe success closes the
-// breaker and resets the jitter growth.
-func (b *Breaker) Success() {
+// Success records a successful call; probe is the flag Allow returned for
+// it. A closed breaker's success resets the failure run; the probe's success
+// closes a half-open breaker and resets the jitter growth. A late report
+// from a call admitted while closed changes nothing once the breaker has
+// left the closed state.
+func (b *Breaker) Success(probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
+	switch {
+	case !probe && b.state == BreakerClosed:
 		b.failures = 0
-	case BreakerHalfOpen:
+	case probe && b.state == BreakerHalfOpen:
 		b.state = BreakerClosed
 		b.failures = 0
-		b.probing = false
 		b.prevSleep = b.cfg.CooldownBase
 		b.counters.Reclosed++
 	}
 }
 
-// Failure records a failed call. Enough consecutive closed-state failures
-// trip the breaker; a half-open probe failure re-opens it with a longer,
-// decorrelated-jittered cooldown.
-func (b *Breaker) Failure() {
+// Failure records a failed call; probe is the flag Allow returned for it.
+// Enough consecutive closed-state failures trip the breaker; the probe's
+// failure re-opens a half-open breaker with a longer, decorrelated-jittered
+// cooldown. Like Success, a late closed-state report is ignored once the
+// breaker has left the closed state.
+func (b *Breaker) Failure(probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
+	switch {
+	case !probe && b.state == BreakerClosed:
 		b.failures++
 		if b.failures >= b.cfg.FailureThreshold {
 			b.trip()
 		}
-	case BreakerHalfOpen:
-		b.probing = false
+	case probe && b.state == BreakerHalfOpen:
 		b.trip()
 	}
 }

@@ -24,7 +24,7 @@ func TestBreakerHalfOpenSingleProbeExclusivity(t *testing.T) {
 		now:              func() time.Time { return time.Unix(0, fake.Load()) },
 	}
 	b := NewBreaker(cfg)
-	b.Failure() // trip it
+	b.Failure(false) // trip it
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker not open after threshold failures")
 	}
@@ -56,9 +56,9 @@ func TestBreakerHalfOpenSingleProbeExclusivity(t *testing.T) {
 					// occasional failure below).
 					nonProbeOK.Add(1)
 					if i%7 == 0 {
-						b.Failure()
+						b.Failure(probe)
 					} else {
-						b.Success()
+						b.Success(probe)
 					}
 					continue
 				}
@@ -82,9 +82,9 @@ func TestBreakerHalfOpenSingleProbeExclusivity(t *testing.T) {
 				}
 				inProbe.Add(-1)
 				if i%2 == 0 {
-					b.Success()
+					b.Success(probe)
 				} else {
-					b.Failure()
+					b.Failure(probe)
 				}
 			}
 		}(g)
@@ -114,13 +114,13 @@ func TestBreakerProbeHandoff(t *testing.T) {
 		CooldownCap:      time.Millisecond,
 		now:              func() time.Time { return time.Unix(0, fake.Load()) },
 	})
-	b.Failure()
+	b.Failure(false)
 	fake.Add(int64(2 * time.Millisecond))
 	ok, probe := b.Allow()
 	if !ok || !probe {
 		t.Fatalf("Allow after cooldown = (%v, %v), want probe admission", ok, probe)
 	}
-	b.Failure() // probe fails: re-open with longer cooldown
+	b.Failure(true) // probe fails: re-open with longer cooldown
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker not re-open after failed probe")
 	}
@@ -129,7 +129,7 @@ func TestBreakerProbeHandoff(t *testing.T) {
 	if !ok || !probe {
 		t.Fatalf("no fresh probe after re-open cooldown: (%v, %v)", ok, probe)
 	}
-	b.Success()
+	b.Success(true)
 	if b.State() != BreakerClosed {
 		t.Fatal("breaker not closed after successful probe")
 	}

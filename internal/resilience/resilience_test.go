@@ -44,16 +44,16 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("initial state %v", st)
 	}
 	// Failures below threshold keep it closed; a success resets the count.
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
+	b.Failure(false)
+	b.Failure(false)
+	b.Success(false)
+	b.Failure(false)
+	b.Failure(false)
 	if st := b.State(); st != BreakerClosed {
 		t.Fatalf("state %v after interrupted failure run, want closed", st)
 	}
 	// Third consecutive failure trips it.
-	b.Failure()
+	b.Failure(false)
 	if st := b.State(); st != BreakerOpen {
 		t.Fatalf("state %v after threshold failures, want open", st)
 	}
@@ -74,7 +74,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("half-open breaker admitted a second call during the probe")
 	}
 	// Probe failure re-opens; probe success after another cooldown closes.
-	b.Failure()
+	b.Failure(true)
 	if st := b.State(); st != BreakerOpen {
 		t.Fatalf("state %v after probe failure, want open", st)
 	}
@@ -82,7 +82,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if ok, probe := b.Allow(); !ok || !probe {
 		t.Fatal("no second probe after re-open cooldown")
 	}
-	b.Success()
+	b.Success(true)
 	if st := b.State(); st != BreakerClosed {
 		t.Fatalf("state %v after probe success, want closed", st)
 	}
@@ -99,7 +99,7 @@ func TestBreakerJitterBounds(t *testing.T) {
 	base, cap := 10*time.Millisecond, 80*time.Millisecond
 	b, clk := newTestBreaker(1, base, cap)
 	for i := 0; i < 50; i++ {
-		b.Failure() // trips (threshold 1) or fails the probe
+		b.Failure(i > 0) // trips (threshold 1) or fails the probe
 		b.mu.Lock()
 		d := b.cooldown
 		b.mu.Unlock()
@@ -115,7 +115,7 @@ func TestBreakerJitterBounds(t *testing.T) {
 
 func TestBreakerConcurrentProbeExclusive(t *testing.T) {
 	b, clk := newTestBreaker(1, time.Millisecond, time.Millisecond)
-	b.Failure()
+	b.Failure(false)
 	clk.advance(time.Millisecond)
 	var probes int64
 	var mu sync.Mutex

@@ -197,10 +197,10 @@ func (r *DecodeRequest) ToBatchInput() (core.BatchInput, error) {
 // responseFrom shapes one scheduler Response for the wire.
 func (h *handler) responseFrom(resp *Response) *DecodeResponse {
 	cons := h.s.Backend().Constellation()
-	buf := make([]int, cons.BitsPerSymbol())
-	bits := make([]int, 0, len(resp.Result.SymbolIdx)*cons.BitsPerSymbol())
-	for _, idx := range resp.Result.SymbolIdx {
-		bits = append(bits, cons.BitsOf(idx, buf)...)
+	bps := cons.BitsPerSymbol()
+	bits := make([]int, len(resp.Result.SymbolIdx)*bps)
+	for k, idx := range resp.Result.SymbolIdx {
+		cons.BitsOf(idx, bits[k*bps:(k+1)*bps])
 	}
 	return &DecodeResponse{
 		APIVersion:    APIVersion,
@@ -235,7 +235,10 @@ func (h *handler) decode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, h.responseFrom(resp))
+	answer := h.responseFrom(resp)
+	WriteAnswer(w, func(dst []byte) []byte {
+		return append(AppendDecodeResponse(append(dst, '{'), answer), '}')
+	})
 }
 
 // decodeBatch serves the frames form: every frame is submitted concurrently
@@ -256,7 +259,18 @@ func (h *handler) decodeBatch(w http.ResponseWriter, r *http.Request, body *Deco
 		}(i, in, body.Labels[i])
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, BatchDecodeResponse{APIVersion: APIVersion, Results: results})
+	WriteAnswer(w, func(dst []byte) []byte { return appendBatchAnswer(dst, results) })
+}
+
+// appendBatchAnswer appends the BatchDecodeResponse carrying results.
+func appendBatchAnswer(dst []byte, results []BatchDecodeResult) []byte {
+	return AppendBatchResponse(dst, len(results), func(dst []byte, i int) []byte {
+		r := &results[i]
+		if r.DecodeResponse != nil {
+			dst = AppendDecodeResponse(dst, r.DecodeResponse)
+		}
+		return AppendErrorMember(dst, r.Error, r.DecodeResponse != nil)
+	})
 }
 
 // trace streams JSON-lines search traces (GET /v1/trace?frames=N). The

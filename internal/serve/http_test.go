@@ -215,3 +215,58 @@ func TestHTTPOverloadStatus(t *testing.T) {
 		t.Fatalf("no successes under saturation: %v", got)
 	}
 }
+
+// FuzzDecodeHandler posts fuzzed bodies to the /v1/decode handler and holds
+// it to its HTTP contract: no panic; status 200, 400 or 413; every 4xx coded
+// bad_request or invalid_input; every 200 a JSON answer with one result per
+// submitted frame, as the encoding/json path counts them.
+func FuzzDecodeHandler(f *testing.F) {
+	for _, body := range decodeBodySeeds(f) {
+		f.Add(body)
+	}
+	s := newScheduler(f, Config{MaxBatch: 16, MaxWait: 100 * time.Microsecond, Policy: Block})
+	h := NewHandler(s, testMIMO.Tx, testMIMO.Rx, "4-QAM")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decode", bytes.NewReader(body)))
+		answer := rec.Body.Bytes()
+		strict := func(v any) error {
+			dec := json.NewDecoder(bytes.NewReader(answer))
+			dec.DisallowUnknownFields()
+			return dec.Decode(v)
+		}
+		switch rec.Code {
+		case http.StatusOK:
+			frames, _, batch, err := expectedDecodeBody(t, body)
+			if err != nil {
+				t.Fatalf("200 for a body the encoding/json path rejects (%v): %s", err, answer)
+			}
+			if !json.Valid(answer) {
+				t.Fatalf("200 answer is not JSON: %q", answer)
+			}
+			if !batch {
+				var out DecodeResponse
+				if err := strict(&out); err != nil || out.Quality == "" {
+					t.Fatalf("single-frame answer %s: %v", answer, err)
+				}
+				return
+			}
+			var out BatchDecodeResponse
+			if err := strict(&out); err != nil || len(out.Results) != len(frames) {
+				t.Fatalf("envelope of %d frames answered %s: %v", len(frames), answer, err)
+			}
+			for i, r := range out.Results {
+				if (r.DecodeResponse == nil) == (r.Error == "") {
+					t.Fatalf("result %d carries neither or both of an answer and an error: %s", i, answer)
+				}
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			var eb errorBody
+			if err := strict(&eb); err != nil || (eb.Code != CodeBadRequest && eb.Code != CodeInvalidInput) {
+				t.Fatalf("status %d answered %s: %v", rec.Code, answer, err)
+			}
+		default:
+			t.Fatalf("status %d answered %s", rec.Code, answer)
+		}
+	})
+}

@@ -470,7 +470,9 @@ func (s *Scheduler) noteWorkerSDC(w *workerCtl, n int) bool {
 // the disabled-path cost the benchmarks pin). With timers armed the decode
 // runs on a goroutine; on timeout the backend is abandoned (marked lost, its
 // eventual outcome drained into the breaker) and a sentinel error returned.
-func (s *Scheduler) attempt(w *workerCtl, inputs []core.BatchInput, opts []core.BatchOption, mode auditMode) (*core.BatchReport, error) {
+// probe is the breaker admission's flag: a hedged-away probe's outcome still
+// settles the breaker, from the drain.
+func (s *Scheduler) attempt(w *workerCtl, inputs []core.BatchInput, opts []core.BatchOption, mode auditMode, probe bool) (*core.BatchReport, error) {
 	rcfg := s.rcfg
 	if rcfg.HedgeAfter <= 0 && rcfg.WedgeTimeout <= 0 {
 		var rep *core.BatchReport
@@ -520,10 +522,12 @@ func (s *Scheduler) attempt(w *workerCtl, inputs []core.BatchInput, opts []core.
 			if !s.hedgeBudget.Spend() {
 				continue
 			}
-			s.abandonPrimary(w, ch, inputs, mode)
+			s.abandonPrimary(w, ch, inputs, mode, probe)
 			return nil, errHedged
 		case <-wedgeC:
-			s.abandonPrimary(w, ch, inputs, mode)
+			// The caller reports the wedge itself, settling a probe; the
+			// drain's later report counts only as a closed-state call's.
+			s.abandonPrimary(w, ch, inputs, mode, false)
 			return nil, errWedged
 		}
 	}
@@ -532,8 +536,9 @@ func (s *Scheduler) attempt(w *workerCtl, inputs []core.BatchInput, opts []core.
 // abandonPrimary detaches a still-running decode from its worker: the
 // backend is marked lost (replaced before next use) and a drain goroutine
 // feeds the decode's eventual outcome into the breaker so an abandoned-but-
-// healthy backend still earns its way back to closed.
-func (s *Scheduler) abandonPrimary(w *workerCtl, ch <-chan attemptResult, inputs []core.BatchInput, mode auditMode) {
+// healthy backend still earns its way back to closed. probe is the flag the
+// drain reports to the breaker with.
+func (s *Scheduler) abandonPrimary(w *workerCtl, ch <-chan attemptResult, inputs []core.BatchInput, mode auditMode, probe bool) {
 	w.mu.Lock()
 	w.beLost = true
 	w.mu.Unlock()
@@ -543,12 +548,12 @@ func (s *Scheduler) abandonPrimary(w *workerCtl, ch <-chan attemptResult, inputs
 			r.err = checkReport(r.rep, inputs, mode)
 		}
 		if r.err == nil {
-			w.breaker.Success()
+			w.breaker.Success(probe)
 			s.m.mu.Lock()
 			s.m.hedgeWaste++
 			s.m.mu.Unlock()
 		} else {
-			w.breaker.Failure()
+			w.breaker.Failure(probe)
 			if errors.Is(r.err, errIntegrityAudit) {
 				// The abandoned result was never served, so the corruption is
 				// trivially recovered — but it still counts against the
@@ -668,9 +673,9 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 			oc.quarantined = true
 			return shed(DegradedByQuarantine)
 		}
-		rep, err := s.attempt(w, inputs, opts, mode)
+		rep, err := s.attempt(w, inputs, opts, mode, probe)
 		if err == nil {
-			w.breaker.Success()
+			w.breaker.Success(probe)
 			s.retryBudget.Earn(1)
 			s.hedgeBudget.Earn(1)
 			return rep, oc, nil
@@ -685,7 +690,7 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 			return shed(DegradedByHedge)
 		case errors.Is(err, errWedged):
 			oc.wedges++
-			w.breaker.Failure()
+			w.breaker.Failure(probe)
 			if !s.restartBackend(w) {
 				oc.quarantined = true
 				return shed(DegradedByQuarantine)
@@ -696,7 +701,7 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 		case errors.Is(err, resilience.ErrWorkerPanic):
 			oc.panics++
 			w.panics.Add(1)
-			w.breaker.Failure()
+			w.breaker.Failure(probe)
 			var pe *resilience.PanicError
 			if errors.As(err, &pe) {
 				s.recordPanic(w.id, pe)
@@ -712,17 +717,17 @@ func (s *Scheduler) decodeResilient(w *workerCtl, inputs []core.BatchInput, opts
 			// a transient flip clears, failing hardware repeats until it
 			// exhausts the allowance.
 			oc.sdcAudits++
-			w.breaker.Failure()
+			w.breaker.Failure(probe)
 			if !s.noteWorkerSDC(w, 1) {
 				oc.quarantined = true
 				return shed(DegradedByQuarantine)
 			}
 		case resilience.Transient(err):
-			w.breaker.Failure()
+			w.breaker.Failure(probe)
 		default:
 			// Permanent error: a typed rejection is the honest answer, and
 			// retrying cannot change it.
-			w.breaker.Failure()
+			w.breaker.Failure(probe)
 			return nil, oc, err
 		}
 

@@ -25,7 +25,7 @@ import (
 var testMIMO = mimo.Config{Tx: 4, Rx: 4, Mod: constellation.QAM4, Convention: channel.PerTransmitSymbol}
 
 // newFactory returns a Backend factory over the optimized accelerator.
-func newFactory(t *testing.T) func() (Backend, error) {
+func newFactory(t testing.TB) func() (Backend, error) {
 	t.Helper()
 	return func() (Backend, error) {
 		return core.New(fpga.Optimized, testMIMO.Mod, testMIMO.Tx, testMIMO.Rx, core.Options{ScalarEval: true})
@@ -48,7 +48,7 @@ func genInputs(t testing.TB, n int, seed uint64) []core.BatchInput {
 }
 
 // newScheduler builds a started scheduler and registers cleanup.
-func newScheduler(t *testing.T, cfg Config) *Scheduler {
+func newScheduler(t testing.TB, cfg Config) *Scheduler {
 	t.Helper()
 	s, err := New(cfg, newFactory(t))
 	if err != nil {

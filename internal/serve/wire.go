@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cmatrix"
@@ -401,43 +400,15 @@ func (p *parser) literal(word string) error {
 	return nil
 }
 
-// num scans a JSON number at pos and returns its bytes.
-func (p *parser) num() ([]byte, error) {
-	data, start := p.data, p.pos
-	i := start
-	if i < len(data) && data[i] == '-' {
-		i++
+// num scans and converts the JSON number at pos; out-of-range numbers are
+// left to the caller.
+func (p *parser) num() (float64, numVerdict, error) {
+	v, n, verdict := scanNumber(p.data[p.pos:])
+	p.pos += n
+	if verdict == numInvalid {
+		return 0, verdict, p.syntaxErr("invalid number")
 	}
-	ok := i < len(data)
-	if ok && data[i] == '0' {
-		i++
-	} else {
-		i, ok = digits(data, i)
-	}
-	if ok && i < len(data) && data[i] == '.' {
-		i, ok = digits(data, i+1)
-	}
-	if ok && i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		i, ok = digits(data, i)
-	}
-	p.pos = i
-	if !ok {
-		return nil, p.syntaxErr("invalid number")
-	}
-	return data[start:i], nil
-}
-
-// digits returns the index past the run of digits at data[i:], and whether
-// the run is non-empty.
-func digits(data []byte, i int) (int, bool) {
-	start := i
-	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
-		i++
-	}
-	return i, i > start
+	return v, verdict, nil
 }
 
 // number decodes a float64 field; null is 0.
@@ -449,13 +420,13 @@ func (p *parser) number(dst *float64, field string) error {
 	case c != '-' && (c < '0' || c > '9'):
 		return p.typeErr(field, "a number")
 	}
-	tok, err := p.num()
+	start := p.pos
+	v, verdict, err := p.num()
 	if err != nil {
 		return err
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return fmt.Errorf("malformed request body: %s: number %s out of range", field, tok)
+	if verdict == numOutOfRange {
+		return fmt.Errorf("malformed request body: %s: number %s out of range", field, p.data[start:p.pos])
 	}
 	*dst = v
 	return nil
@@ -586,7 +557,7 @@ func (p *parser) skip() error {
 	case c == 'f':
 		return p.literal("false")
 	case c == '-' || '0' <= c && c <= '9':
-		_, err := p.num()
+		_, _, err := p.num() // encoding/json skips a value without converting it
 		return err
 	case c == 0:
 		return p.syntaxErr("unexpected end of body")
@@ -612,7 +583,7 @@ func AppendFrame(dst []byte, in core.BatchInput, scenario string) []byte {
 	dst = strconv.AppendFloat(dst, in.NoiseVar, 'g', -1, 64)
 	if scenario != "" {
 		dst = append(dst, `,"scenario":`...)
-		dst = appendString(dst, scenario)
+		dst = AppendString(dst, scenario)
 	}
 	return append(dst, '}')
 }
@@ -631,15 +602,4 @@ func appendComplex(dst []byte, v []complex128) []byte {
 		dst = append(dst, ']')
 	}
 	return append(dst, ']')
-}
-
-// appendString appends s as a JSON string.
-func appendString(dst []byte, s string) []byte {
-	if strings.IndexFunc(s, func(r rune) bool { return r < 0x20 || r > 0x7e || r == '"' || r == '\\' }) < 0 {
-		dst = append(dst, '"')
-		dst = append(dst, s...)
-		return append(dst, '"')
-	}
-	q, _ := json.Marshal(s) // a string always marshals.
-	return append(dst, q...)
 }

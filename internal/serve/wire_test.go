@@ -264,10 +264,18 @@ var zeroColumnBodies = []string{
 // frames and labels (with a repeated key taking its last value), and the
 // single-frame encoder must round-trip them.
 func FuzzDecodeBody(f *testing.F) {
+	for _, body := range decodeBodySeeds(f) {
+		f.Add(body)
+	}
+	f.Fuzz(checkDecodeBody)
+}
+
+// decodeBodySeeds is the seed corpus of the /v1/decode fuzzers.
+func decodeBodySeeds(tb testing.TB) [][]byte {
 	single := func(seed uint64) string {
-		body, err := json.Marshal(toWire(genInputs(f, 1, seed)[0], ""))
+		body, err := json.Marshal(toWire(genInputs(tb, 1, seed)[0], ""))
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		return string(body)
 	}
@@ -303,11 +311,11 @@ func FuzzDecodeBody(f *testing.F) {
 		` [] `,
 		``,
 	}, zeroColumnBodies...)
+	var out [][]byte
 	for _, s := range seeds {
-		f.Add([]byte(s))
+		out = append(out, []byte(s))
 	}
-	f.Add(envelopeBody(f, 32, 7))
-	f.Fuzz(checkDecodeBody)
+	return append(out, envelopeBody(tb, 32, 7))
 }
 
 // TestDecodeBodyAllocs pins the parser's allocations: each frame's one H+y
