@@ -1,19 +1,19 @@
 GO ?= go
 
-.PHONY: check vet build test race race-serve race-cluster serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz bench bench-check
+.PHONY: check vet build test race race-serve race-cluster race-sphere serve-smoke trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke fuzz bench bench-check
 
 # check is the gate: static analysis, build, a single-iteration pass over
 # every benchmark (so the bench harness itself cannot rot), the serving
 # scheduler under the race detector (its tests are the most
 # concurrency-sensitive, so they run first and fail fast), the cluster
-# proxy and breaker under the race detector, the full suite under the race
-# detector, then the observability path, the single-node self-healing
-# contract, the cluster failover contract, the OFDM workload tier's
-# SLO and cache-delta gates, the real-valued SE hot-path gate
-# (speedup, comparator-free, zero-alloc, servable), the adaptive
-# complexity controller's A/B gate end to end, and the silent-data-
-# corruption defense under seeded fault injection.
-check: vet build bench-check race-serve race-cluster race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke
+# proxy and breaker under the race detector, the multi-PE sphere decoder
+# under the race detector, the full suite under the race detector, then the
+# observability path, the single-node self-healing contract, the cluster
+# failover contract, the OFDM workload tier's SLO and cache-delta gates, the
+# real-valued SE hot-path gate (speedup, comparator-free, zero-alloc,
+# servable), the adaptive complexity controller's A/B gate end to end, and
+# the silent-data-corruption defense under seeded fault injection.
+check: vet build bench-check race-serve race-cluster race-sphere race trace-smoke chaos-smoke cluster-smoke ofdm-smoke rvd-smoke adapt-smoke sdc-smoke
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +37,13 @@ race-serve:
 race-cluster:
 	$(GO) vet ./internal/cluster/... ./internal/resilience/...
 	$(GO) test -race ./internal/cluster/... ./internal/resilience/...
+
+# race-sphere repeats the multi-PE sphere decoder and the concurrent pooled
+# decode under the race detector: ParallelSD's PEs are pooled searches that
+# cross goroutines and share the sphere radius and node budget, so one pass
+# is too few to trust.
+race-sphere:
+	$(GO) test -race -count=20 -run 'TestParallel|TestPooledDecodeConcurrent' ./internal/sphere
 
 # serve-smoke boots sdserver, fires sdload at it for 2 s, and asserts a
 # non-zero decoded count (end-to-end liveness of the serving stack).

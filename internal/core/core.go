@@ -457,13 +457,6 @@ func (a *Accelerator) DecodeBatch(inputs []BatchInput, opts ...BatchOption) (*Ba
 	return a.decodeBatchBudget(inputs, &o, sd)
 }
 
-// DecodeBatchBudget is DecodeBatch under a batch-level budget.
-//
-// Deprecated: use DecodeBatch(inputs, WithBudget(budget)).
-func (a *Accelerator) DecodeBatchBudget(inputs []BatchInput, budget BatchBudget) (*BatchReport, error) {
-	return a.DecodeBatch(inputs, WithBudget(budget))
-}
-
 // decodeBatchBudget is the searching batch path, running every frame through
 // sd (the base decoder, or a policy-derived one). Overrunning batches are cut
 // at the budget, never late: the report always covers every input, with cut
@@ -732,14 +725,6 @@ func (a *Accelerator) DecodeFallback(in BatchInput) (*decoder.Result, error) {
 		return nil, err
 	}
 	return a.sd.DecodeFallback(in.H, in.Y, in.NoiseVar)
-}
-
-// DecodeBatchFallback decodes a whole batch with the linear fallback
-// detector.
-//
-// Deprecated: use DecodeBatch(inputs, WithFallback()).
-func (a *Accelerator) DecodeBatchFallback(inputs []BatchInput) (*BatchReport, error) {
-	return a.DecodeBatch(inputs, WithFallback())
 }
 
 // decodeBatchFallback decodes a whole batch with the linear fallback

@@ -9,9 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestDecodeBatchOptionEquivalence: the variadic surface with no options and
-// the deprecated wrappers must produce the results of the methods they
-// replaced.
+// TestDecodeBatchOptionEquivalence: the variadic surface with no options
+// searches every frame exactly, and WithFallback sheds every frame to the
+// linear decision.
 func TestDecodeBatchOptionEquivalence(t *testing.T) {
 	acc := MustNew(fpga.Optimized, constellation.QAM4, 6, 6, Options{Workers: 1})
 	inputs, _ := batchFor(t, cfg4(), 8, 6, 91)
@@ -20,29 +20,15 @@ func TestDecodeBatchOptionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOld, err := acc.DecodeBatchBudget(inputs, BatchBudget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Counters != viaOld.Counters {
-		t.Fatal("deprecated DecodeBatchBudget wrapper diverged from DecodeBatch")
-	}
-	for i := range plain.Results {
-		if plain.Results[i].Metric != viaOld.Results[i].Metric {
-			t.Fatalf("frame %d metric differs across surfaces", i)
+	for i, res := range plain.Results {
+		if res.Quality != decoder.QualityExact {
+			t.Fatalf("frame %d: unbudgeted batch produced quality %v", i, res.Quality)
 		}
 	}
 
 	fbNew, err := acc.DecodeBatch(inputs, WithFallback())
 	if err != nil {
 		t.Fatal(err)
-	}
-	fbOld, err := acc.DecodeBatchFallback(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fbNew.Counters != fbOld.Counters {
-		t.Fatal("deprecated DecodeBatchFallback wrapper diverged")
 	}
 	for _, res := range fbNew.Results {
 		if res.Quality != decoder.QualityFallback {

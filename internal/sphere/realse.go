@@ -1,13 +1,9 @@
 package sphere
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/cmatrix"
-	"repro/internal/decoder"
 )
 
 // This file holds the real-valued hot-path decode engine: the RealSE
@@ -21,8 +17,9 @@ import (
 // whose PD leaves the sphere proves every remaining sibling out too.
 //
 // The engine reuses the pooled search state, the MST arena, the anytime
-// budget/deadline contract, and the trace recorder of the complex-valued
-// strategies; only the per-node expansion differs.
+// budget/deadline contract, the trace recorder, and the decode path and
+// linear fallback helpers (sphere.go) of the complex-valued strategies; only
+// the per-node expansion differs.
 
 // acquireRealSearch checks a search out of the pool, sized for the real
 // reduced system: tree height rp.Dim (= 2M), branching len(pam).
@@ -49,14 +46,14 @@ func acquireRealSearch(cfg *Config, rp *RealPre, pam []float64) *search {
 // per-frame rotation the complex hot path runs) and interleaves the result
 // into the real ordering (Re ȳ_j, Im ȳ_j per antenna) — which IS ȳr = Qrᵀ·yr
 // for the interleaved real factorization (see RealPre). Pooled buffers only.
-func (s *search) computeRealYbar(f *cmatrix.QRFactorization, y cmatrix.Vector) []float64 {
+// Both ȳ and ȳr are installed on the search.
+func (s *search) computeRealYbar(f *cmatrix.QRFactorization, y cmatrix.Vector) {
 	ybar := s.computeYbar(f, y)
 	s.rybarBuf = growFloats(s.rybarBuf, 2*len(ybar))
 	for k, v := range ybar {
 		s.rybarBuf[2*k], s.rybarBuf[2*k+1] = real(v), imag(v)
 	}
 	s.rybar = s.rybarBuf
-	return s.rybar
 }
 
 // nearestPAM returns the index of the ascending-ordered PAM level nearest to
@@ -217,337 +214,4 @@ func (s *search) runRealSE() error {
 		}
 	}
 	return nil
-}
-
-// decodePreReal is the RealSE twin of decodePre: same retry loop, anytime
-// contract, and result assembly, over the real reduced system. The metric
-// semantics differ by norm: under NormL2 the reduced metric plus the
-// rotation offset equals the complex-domain ‖y − Hs‖² (the embedding is an
-// isometry), while under NormLInf the metric is the reduced-domain max —
-// an ℓ∞ ball does not survive the orthogonal rotation, so no offset exists.
-func (d *SD) decodePreReal(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, wantInfo bool, res *decoder.Result, start time.Time) (*SearchInfo, error) {
-	rp := pre.Real()
-	var deadline time.Time
-	if d.cfg.Deadline > 0 {
-		deadline = start.Add(d.cfg.Deadline)
-	}
-	st := acquireRealSearch(&d.cfg, rp, d.pam)
-	rybar := st.computeRealYbar(pre.F, y)
-	// ‖y − Hs‖² = ‖ȳr − Rr·sr‖² + offset; offset = ‖yr‖² − ‖ȳr‖² ≥ 0, and
-	// ‖yr‖² = ‖y‖² (the embedding is an isometry).
-	var offset float64
-	if d.cfg.Norm == NormL2 {
-		var yn, bn float64
-		for _, v := range y {
-			yn += real(v)*real(v) + imag(v)*imag(v)
-		}
-		for _, v := range rybar {
-			bn += v * v
-		}
-		offset = yn - bn
-		if offset < 0 { // numerical guard
-			offset = 0
-		}
-	}
-
-	n, m := int64(pre.N), int64(pre.M)
-	dim := rp.Dim
-	preFlops := qrFlops + 8*n*m + 4*(n+m)
-	if qrFlops > 0 {
-		// The caller wants this decode to pay for preprocessing: charge the
-		// real factorization alongside the complex one (both live on the
-		// shared handle and amortize identically across a coherence block).
-		preFlops += rp.Flops
-	}
-
-	radius := d.initialRadiusReal(pre.N, dim, noiseVar)
-	if d.cfg.BabaiRadius && d.cfg.InitialRadiusSq == 0 {
-		radius = babaiRadiusSqReal(rp.R, dim, rybar, d.pam, d.cfg.Norm)
-		preFlops += 8 * int64(dim) * int64(dim)
-	}
-	var info *SearchInfo
-	if wantInfo {
-		info = &SearchInfo{PreprocessFlops: preFlops}
-	}
-
-	retries := 0
-	truncated := false
-	st.beginAttempt(radius, deadline)
-	st.counters.OtherFlops += preFlops
-	st.counters.RegularLoads += 4 * n * m
-	for {
-		if err := st.run(); err != nil {
-			if (errors.Is(err, ErrBudget) || errors.Is(err, ErrDeadline)) && !d.cfg.HardBudget {
-				truncated = true
-				break
-			}
-			st.release()
-			return nil, err
-		}
-		if st.bestLeaf >= 0 {
-			break
-		}
-		if d.cfg.DisableRetry {
-			st.release()
-			return nil, fmt.Errorf("%w (r²=%v)", ErrNoLeaf, radius)
-		}
-		if math.IsInf(radius, 1) {
-			st.release()
-			return nil, fmt.Errorf("%w despite infinite radius", ErrNoLeaf)
-		}
-		radius *= 2
-		retries++
-		if retries > 60 {
-			st.release()
-			return nil, fmt.Errorf("%w after %d radius doublings", ErrNoLeaf, retries)
-		}
-		carried := st.counters.TotalFlops()
-		st.beginAttempt(radius, deadline)
-		st.counters.OtherFlops += carried
-		st.counters.RegularLoads += 4 * n * m
-	}
-
-	mInt := pre.M
-	res.Counters = st.counters
-	res.Quality = decoder.QualityExact
-	res.DegradedBy = ""
-	res.Elapsed = 0
-	if d.cfg.Deadline > 0 {
-		res.Elapsed = time.Since(start)
-	}
-	realPath := st.pathBuf // len dim; reused as the PAM decision buffer
-	pd := st.bestPD
-	if truncated {
-		res.Quality = decoder.QualityBestEffort
-		res.DegradedBy = st.stopReason
-		// Emergency decision under the active norm: the better of the real
-		// Babai point and the sliced real ZF solution — metric never worse
-		// than plain ZF in that norm.
-		fbPath, fbPD, fbFlops := fallbackPointReal(rp.R, dim, rybar, d.pam, d.cfg.Norm)
-		res.Counters.OtherFlops += fbFlops
-		if st.bestLeaf >= 0 && st.bestPD <= fbPD {
-			st.mst.PathSymbols(st.bestLeaf, dim, realPath)
-		} else {
-			copy(realPath, fbPath)
-			pd = fbPD
-			res.Quality = decoder.QualityFallback
-		}
-	} else {
-		st.mst.PathSymbols(st.bestLeaf, dim, realPath)
-	}
-
-	// Map the 2M PAM decisions back onto constellation indices: interleaved
-	// ordering, so coordinate 2j is the I amplitude of antenna j and
-	// coordinate 2j+1 its Q amplitude.
-	idx := growInts(res.SymbolIdx, mInt)
-	syms := res.Symbols
-	if cap(syms) < mInt {
-		syms = make(cmatrix.Vector, mInt)
-	}
-	syms = syms[:mInt]
-	for j := 0; j < mInt; j++ {
-		id := d.pamLabels[realPath[2*j]]<<d.axisBits | d.pamLabels[realPath[2*j+1]]
-		idx[j] = id
-		syms[j] = d.cfg.Const.Symbol(id)
-	}
-	res.SymbolIdx = idx
-	res.Symbols = syms
-	if d.cfg.Norm == NormLInf {
-		res.Metric = pd
-	} else {
-		res.Metric = pd + offset
-	}
-
-	if st.rec != nil {
-		if res.DegradedBy != "" {
-			st.rec.Degraded(res.DegradedBy)
-		}
-		st.rec.SearchEnd(st.radiusSq, retries)
-	}
-
-	if wantInfo {
-		info.MST = st.mst
-		info.FinalRadiusSq = st.radiusSq
-		info.Retries = retries
-		st.mst = nil // detached: the caller owns the table now
-	}
-	st.release()
-	return info, nil
-}
-
-// decodeFallbackPreReal is the RealSE branch of DecodeFallbackPre: the
-// linear emergency decision in the real domain, under the configured norm.
-func (d *SD) decodeFallbackPreReal(pre *Preprocessed, y cmatrix.Vector, qrFlops int64) (*decoder.Result, error) {
-	rp := pre.Real()
-	ybarC := make(cmatrix.Vector, pre.M)
-	pre.F.QHMulVecInto(ybarC, y)
-	rybar := make([]float64, rp.Dim)
-	for k, v := range ybarC {
-		rybar[2*k], rybar[2*k+1] = real(v), imag(v)
-	}
-	var offset float64
-	if d.cfg.Norm == NormL2 {
-		var yn, bn float64
-		for _, v := range y {
-			yn += real(v)*real(v) + imag(v)*imag(v)
-		}
-		for _, v := range rybar {
-			bn += v * v
-		}
-		offset = yn - bn
-		if offset < 0 {
-			offset = 0
-		}
-	}
-	path, pd, fbFlops := fallbackPointReal(rp.R, rp.Dim, rybar, d.pam, d.cfg.Norm)
-	mInt := pre.M
-	idx := make([]int, mInt)
-	syms := make(cmatrix.Vector, mInt)
-	for j := 0; j < mInt; j++ {
-		idx[j] = d.pamLabels[path[2*j]]<<d.axisBits | d.pamLabels[path[2*j+1]]
-		syms[j] = d.cfg.Const.Symbol(idx[j])
-	}
-	n, m := int64(pre.N), int64(pre.M)
-	var counters decoder.Counters
-	counters.OtherFlops = qrFlops + 8*n*m + fbFlops
-	if qrFlops > 0 {
-		counters.OtherFlops += rp.Flops
-	}
-	counters.RegularLoads = 4 * n * m
-	metric := pd
-	if d.cfg.Norm == NormL2 {
-		metric = pd + offset
-	}
-	return &decoder.Result{
-		SymbolIdx:  idx,
-		Symbols:    syms,
-		Metric:     metric,
-		Counters:   counters,
-		Quality:    decoder.QualityFallback,
-		DegradedBy: decoder.DegradedByBatchDeadline,
-	}, nil
-}
-
-// initialRadiusReal picks the starting r² for the real search. The rules
-// mirror initialRadius; the ℓ∞ automatic radius covers the expected maximum
-// of the 2M squared real noise components (each N(0, σ²/2)) instead of
-// their sum: E[max] ≈ σ²·ln(2M), scaled by RadiusScale for margin.
-func (d *SD) initialRadiusReal(nRx, dim int, noiseVar float64) float64 {
-	if d.cfg.InitialRadiusSq > 0 {
-		return d.cfg.InitialRadiusSq
-	}
-	if d.cfg.BabaiRadius {
-		// Resolved in decodePreReal once the factors and ȳr exist.
-		return math.Inf(1)
-	}
-	if d.cfg.AutoRadius {
-		var r float64
-		if d.cfg.Norm == NormLInf {
-			r = d.cfg.RadiusScale * noiseVar * math.Log(float64(dim))
-		} else {
-			r = d.cfg.RadiusScale * float64(nRx) * noiseVar
-		}
-		if r <= 0 {
-			r = 1e-6
-		}
-		return r
-	}
-	return math.Inf(1)
-}
-
-// babaiRealPoint computes the real-domain Babai decision-feedback point —
-// successive back-substitution with per-coordinate slicing to the nearest
-// PAM level — returning the per-coordinate PAM indices and the
-// reduced-domain metric under the given norm.
-func babaiRealPoint(rr []float64, dim int, rybar, pam []float64, norm Norm) ([]int, float64) {
-	path := make([]int, dim)
-	vals := make([]float64, dim)
-	step := pam[1] - pam[0]
-	pd := 0.0
-	for k := dim - 1; k >= 0; k-- {
-		row := rr[k*dim : (k+1)*dim]
-		inner := rybar[k]
-		for i := k + 1; i < dim; i++ {
-			inner -= row[i] * vals[i]
-		}
-		rkk := row[k]
-		var z float64
-		if rkk != 0 {
-			z = inner / rkk
-		}
-		c := nearestPAM(z, pam, step)
-		path[k] = c
-		vals[k] = pam[c]
-		diff := inner - rkk*vals[k]
-		if norm == NormLInf {
-			if diff*diff > pd {
-				pd = diff * diff
-			}
-		} else {
-			pd += diff * diff
-		}
-	}
-	return path, pd
-}
-
-// zfRealPoint computes the sliced real zero-forcing decision — solve
-// Rr·z = ȳr, slice each coordinate independently — returning PAM indices
-// and the reduced-domain metric under the given norm. Returns pd = +Inf on
-// a zero pivot so callers taking a min simply prefer the Babai point.
-func zfRealPoint(rr []float64, dim int, rybar, pam []float64, norm Norm) ([]int, float64) {
-	x := make([]float64, dim)
-	if err := cmatrix.BackSubstituteReal(rr, dim, rybar[:dim], x); err != nil {
-		return nil, math.Inf(1)
-	}
-	path := make([]int, dim)
-	vals := make([]float64, dim)
-	step := pam[1] - pam[0]
-	for i, v := range x {
-		path[i] = nearestPAM(v, pam, step)
-		vals[i] = pam[path[i]]
-	}
-	pd := 0.0
-	for k := 0; k < dim; k++ {
-		row := rr[k*dim : (k+1)*dim]
-		diff := rybar[k]
-		for i := k; i < dim; i++ {
-			diff -= row[i] * vals[i]
-		}
-		if norm == NormLInf {
-			if diff*diff > pd {
-				pd = diff * diff
-			}
-		} else {
-			pd += diff * diff
-		}
-	}
-	return path, pd
-}
-
-// fallbackPointReal is the real-domain emergency decision: the better of
-// the Babai point and the sliced ZF solution under the active norm. The ZF
-// decision is one of the two candidates, so the returned metric is never
-// worse than plain zero-forcing in that norm — the same floor the complex
-// fallback guarantees.
-func fallbackPointReal(rr []float64, dim int, rybar, pam []float64, norm Norm) ([]int, float64, int64) {
-	bPath, bPD := babaiRealPoint(rr, dim, rybar, pam, norm)
-	zPath, zPD := zfRealPoint(rr, dim, rybar, pam, norm)
-	d := int64(dim)
-	flops := 24 * d * d // Babai sweep + ZF back-substitution + metric pass
-	if zPD < bPD {
-		return zPath, zPD, flops
-	}
-	return bPath, bPD, flops
-}
-
-// babaiRadiusSqReal is babaiRadiusSq in the real domain: the Babai point's
-// metric, slightly inflated, bounds a sphere that provably contains at
-// least one leaf, so the search can never come up empty.
-func babaiRadiusSqReal(rr []float64, dim int, rybar, pam []float64, norm Norm) float64 {
-	_, pd := babaiRealPoint(rr, dim, rybar, pam, norm)
-	radius := pd * (1 + 1e-9)
-	if radius <= 0 {
-		radius = 1e-12
-	}
-	return radius
 }

@@ -41,6 +41,13 @@ type search struct {
 	deadline   time.Time
 	stopReason string
 
+	// nodeLimit caps counters.NodesExpanded: cfg.MaxNodes for a search of
+	// its own, and the expansions leased so far from the shared budget for
+	// a PE of a parallel attempt. shared is that attempt's radius and
+	// budget (nil outside ParallelSD).
+	nodeLimit int64
+	shared    *peShared
+
 	counters decoder.Counters
 
 	// rec mirrors cfg.Recorder; nil (the common case) disables all trace
@@ -87,7 +94,7 @@ type search struct {
 	// ABFT helpers (set when cfg.VerifyGEMM) so verifyProduct runs in O(p)
 	// per GEMM call: the alphabet's sum and peak ℓ1 magnitude (O(p) per
 	// acquire), and the handle's cached R-row mass bound (installed by
-	// decodePre from Preprocessed.RowMass, amortized across every decode on
+	// SD.acquire from Preprocessed.RowMass, amortized across every decode on
 	// the channel).
 	ptsSum   complex128
 	maxPtAbs float64
@@ -114,7 +121,7 @@ func acquireSearch(cfg *Config, r *cmatrix.Matrix) *search {
 				s.maxPtAbs = a1
 			}
 		}
-		// rowMass is installed by the caller (decodePre) from the handle's
+		// rowMass is installed by the caller (SD.acquire) from the handle's
 		// cached bound; seed a safe zero so a stray path fails closed (zero
 		// tolerance detects everything and repairs exactly).
 		s.rowMass = 0
@@ -153,6 +160,7 @@ func (s *search) beginAttempt(radiusSq float64, deadline time.Time) {
 	s.bestLeaf = -1
 	s.deadline = deadline
 	s.stopReason = ""
+	s.nodeLimit = s.cfg.MaxNodes
 	s.counters = decoder.Counters{}
 	for i := range s.pathIDs {
 		s.pathIDs[i] = -1
@@ -177,6 +185,7 @@ func (s *search) release() {
 	s.pam = nil
 	s.rr = nil
 	s.rybar = nil
+	s.shared = nil
 	searchPool.Put(s)
 }
 
@@ -218,7 +227,7 @@ func reshape(mat *cmatrix.Matrix, rows, cols int) *cmatrix.Matrix {
 func (s *search) run() error {
 	switch s.cfg.Strategy {
 	case SortedDFS, PlainDFS:
-		return s.runDFS(s.cfg.Strategy == SortedDFS)
+		return s.runDFS(s.cfg.Strategy == SortedDFS, s.mst.Root())
 	case BestFS:
 		return s.runBestFS()
 	case BFS:
@@ -448,6 +457,9 @@ func (s *search) commitLeaf(parent int32, sym int, pd float64) {
 	if pd < s.radiusSq && pd < s.bestPD {
 		s.bestPD = pd
 		s.radiusSq = pd
+		if s.shared != nil {
+			s.shared.radius.tighten(pd)
+		}
 		s.bestLeaf = s.mst.Add(parent, sym, pd)
 		s.counters.RadiusUpdates++
 		if s.rec != nil {
@@ -460,7 +472,7 @@ func (s *search) commitLeaf(parent int32, sym int, pd float64) {
 // spent or deadline passed — and records the reason. The deadline is
 // polled every 64 expansions to keep time syscalls off the per-node path.
 func (s *search) budgetExceeded() bool {
-	if s.counters.NodesExpanded >= s.cfg.MaxNodes {
+	if s.counters.NodesExpanded >= s.nodeLimit && !s.leaseNode() {
 		s.stopReason = decoder.DegradedByBudget
 		return true
 	}
@@ -469,6 +481,16 @@ func (s *search) budgetExceeded() bool {
 		return true
 	}
 	return false
+}
+
+// leaseNode claims one more expansion for a PE from the budget its
+// parallel attempt shares; a search of its own has nothing to claim.
+func (s *search) leaseNode() bool {
+	if s.shared == nil || s.shared.nodes.Add(1) > s.cfg.MaxNodes {
+		return false
+	}
+	s.nodeLimit++
+	return true
 }
 
 // stopErr maps the recorded stop reason to its sentinel error.
@@ -487,19 +509,27 @@ func (s *search) noteListLen(n int) {
 
 // --- Depth-first (plain and sorted) ----------------------------------------
 
-// runDFS explores the tree with an explicit LIFO stack. With sorted == true
-// the children of each expansion are pushed so the lowest-PD child pops
-// first — the paper's traversal (Fig. 3's sorted insertion + LIFO pop).
-func (s *search) runDFS(sorted bool) error {
+// runDFS explores the subtree under node from (the root, or a first-level
+// node for a PE of ParallelSD) with an explicit LIFO stack. With sorted ==
+// true the children of each expansion are pushed so the lowest-PD child
+// pops first — the paper's traversal (Fig. 3's sorted insertion + LIFO
+// pop).
+func (s *search) runDFS(sorted bool, from int32) error {
 	s.incPath = true
 	defer func() { s.incPath = false }()
 	stack := s.stack[:0]
 	defer func() { s.stack = stack[:0] }()
-	stack = append(stack, s.mst.Root())
+	stack = append(stack, from)
 	for len(stack) > 0 {
 		s.noteListLen(len(stack))
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		if s.shared != nil {
+			// Another PE's leaf may have shrunk the sphere; every local
+			// improvement also tightens the shared radius, so it is never
+			// above the local one.
+			s.radiusSq = s.shared.radius.load()
+		}
 		// A node enqueued earlier may have lost its sphere membership to a
 		// later radius update; re-check before paying for the expansion.
 		if s.mst.PD(id) >= s.radiusSq {

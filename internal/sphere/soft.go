@@ -153,7 +153,7 @@ func (d *SoftDecoder) DecodeSoftPre(pre *Preprocessed, y cmatrix.Vector, noiseVa
 		// Truncated before any leaf: hard fallback decision with saturated
 		// LLRs in the direction of the fallback bits — flagged so a channel
 		// decoder can deweight or discard the frame.
-		fbIdx, fbPD, fbFlops := fallbackPoint(f.R, ybar, cons)
+		fbIdx, fbPD, fbFlops := st.fallbackPoint()
 		st.counters.OtherFlops += fbFlops
 		syms := make(cmatrix.Vector, m)
 		llr := make([]float64, nBits)

@@ -243,7 +243,8 @@ type Config struct {
 	// depth of the node being expanded (0 for the root). The event-driven
 	// pipeline simulator uses this to replay the exact traversal through
 	// the hardware model. The callback must be cheap; it runs on the
-	// decoding hot path.
+	// decoding hot path. NewParallel rejects it: its PEs would call it
+	// from several goroutines at once.
 	OnExpand func(depth int)
 	// Recorder, when non-nil, receives the structured trace of each search:
 	// per-level visit/prune tallies, the radius trajectory, and degradation
@@ -252,7 +253,7 @@ type Config struct {
 	// zero-alloc steady-state tests pin this). The recorder is invoked from
 	// the decoding goroutine; installing one on a decoder shared across
 	// goroutines races, so per-frame tracing builds a dedicated SD per
-	// frame (see internal/core).
+	// frame (see internal/core), and NewParallel rejects it.
 	Recorder trace.Recorder
 }
 
@@ -414,7 +415,7 @@ func (d *SD) DecodeTraced(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float64)
 		return nil, nil, fmt.Errorf("sphere: preprocessing failed: %w", err)
 	}
 	res := new(decoder.Result)
-	info, err := d.decodePre(pre, y, noiseVar, pre.Flops, true, res)
+	info, err := d.decodePre(pre, y, noiseVar, pre.Flops, true, res, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -439,52 +440,41 @@ func (d *SD) DecodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 // capacity suffices, so a warmed-up decode loop performs zero heap
 // allocations per call.
 func (d *SD) DecodePreInto(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, res *decoder.Result) error {
-	_, err := d.decodePre(pre, y, noiseVar, qrFlops, false, res)
+	_, err := d.decodePre(pre, y, noiseVar, qrFlops, false, res, 0)
 	return err
 }
 
-// decodePre runs the search against pre's reduced system. When wantInfo is
-// set the Meta State Table is detached from the pooled search and handed to
-// the caller inside a SearchInfo; otherwise everything returns to the pool.
-func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, wantInfo bool, res *decoder.Result) (*SearchInfo, error) {
-	if err := pre.CheckY(y); err != nil {
+// decodePre runs the search against pre's reduced system: the M-level
+// complex tree, or the 2M-level real tree for RealSE. workers > 0
+// partitions a DFS tree over that many processing entities (ParallelSD);
+// zero runs the configured traversal on one search. When wantInfo is set
+// the Meta State Table is detached from the pooled search and handed to the
+// caller inside a SearchInfo; otherwise everything returns to the pool.
+//
+// The metric semantics follow the norm: under NormL2 the reduced metric
+// plus the rotation offset equals the complex-domain ‖y − Hs‖² (the real
+// embedding is an isometry), while under NormLInf the metric is the
+// reduced-domain max.
+func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64, wantInfo bool, res *decoder.Result, workers int) (*SearchInfo, error) {
+	if err := checkInput(pre, y, noiseVar); err != nil {
 		return nil, err
-	}
-	if noiseVar < 0 || math.IsNaN(noiseVar) {
-		return nil, fmt.Errorf("sphere: invalid noise variance %v", noiseVar)
 	}
 	// start is consumed only under a configured deadline (for the cutoff and
 	// for res.Elapsed); skipping the clock read otherwise keeps the syscall
 	// off the no-deadline hot path.
-	var start time.Time
+	var start, deadline time.Time
 	if d.cfg.Deadline > 0 {
 		start = time.Now()
-	}
-	if d.cfg.Strategy == RealSE {
-		return d.decodePreReal(pre, y, noiseVar, qrFlops, wantInfo, res, start)
-	}
-	var deadline time.Time
-	if d.cfg.Deadline > 0 {
 		deadline = start.Add(d.cfg.Deadline)
 	}
-	st := acquireSearch(&d.cfg, pre.F.R)
-	if d.cfg.VerifyGEMM {
-		st.rowMass = pre.RowMass()
-	}
-	ybar := st.computeYbar(pre.F, y)
-	// ‖y − Hs‖² = ‖ȳ − Rs‖² + offset; offset = ‖y‖² − ‖ȳ‖² ≥ 0.
-	offset := cmatrix.Norm2Sq(y) - cmatrix.Norm2Sq(ybar)
-	if offset < 0 { // numerical guard
-		offset = 0
-	}
+	st, preFlops, loads := d.acquire(pre, y, qrFlops)
+	offset := d.offset(y, st)
+	preFlops += 4 * int64(pre.N+pre.M) // ‖y‖², ‖ȳ‖²
 
-	n, m := int64(pre.N), int64(pre.M)
-	preFlops := qrFlops + 8*n*m + 4*(n+m)
-
-	radius := d.initialRadius(pre.N, noiseVar)
+	radius := d.initialRadius(pre.N, st.m, noiseVar)
 	if d.cfg.BabaiRadius && d.cfg.InitialRadiusSq == 0 {
-		radius = babaiRadiusSq(pre.F.R, ybar, d.cfg.Const)
-		preFlops += 8 * m * m // back-substitution + slicing pass
+		radius = st.babaiRadiusSq()
+		preFlops += 8 * int64(st.m) * int64(st.m) // back-substitution + slicing pass
 	}
 	var info *SearchInfo
 	if wantInfo {
@@ -495,9 +485,15 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 	truncated := false
 	st.beginAttempt(radius, deadline)
 	st.counters.OtherFlops += preFlops
-	st.counters.RegularLoads += n * m
+	st.counters.RegularLoads += loads
 	for {
-		if err := st.run(); err != nil {
+		var err error
+		if workers > 0 {
+			err = st.runParallel(workers)
+		} else {
+			err = st.run()
+		}
+		if err != nil {
 			if (errors.Is(err, ErrBudget) || errors.Is(err, ErrDeadline)) && !d.cfg.HardBudget {
 				// Anytime contract: stop searching and degrade below.
 				truncated = true
@@ -530,10 +526,9 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 		carried := st.counters.TotalFlops()
 		st.beginAttempt(radius, deadline)
 		st.counters.OtherFlops += carried
-		st.counters.RegularLoads += n * m
+		st.counters.RegularLoads += loads
 	}
 
-	mInt := pre.M
 	// res may be a reused value: every field is (re)assigned here.
 	res.Counters = st.counters
 	res.Quality = decoder.QualityExact
@@ -542,7 +537,7 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 	if d.cfg.Deadline > 0 {
 		res.Elapsed = time.Since(start)
 	}
-	idx := growInts(res.SymbolIdx, mInt)
+	path := st.pathBuf // len st.m; reused as the decision buffer
 	pd := st.bestPD
 	if truncated {
 		res.Quality = decoder.QualityBestEffort
@@ -550,28 +545,19 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 		// The emergency decision: the better of the Babai point and the
 		// sliced ZF solution — always available, metric ≤ plain ZF. Use it
 		// whenever the truncated search has nothing better.
-		fbIdx, fbPD, fbFlops := fallbackPoint(pre.F.R, ybar, d.cfg.Const)
+		fbPath, fbPD, fbFlops := st.fallbackPoint()
 		res.Counters.OtherFlops += fbFlops
 		if st.bestLeaf >= 0 && st.bestPD <= fbPD {
-			st.mst.PathSymbols(st.bestLeaf, mInt, idx)
+			st.mst.PathSymbols(st.bestLeaf, st.m, path)
 		} else {
-			copy(idx, fbIdx)
+			copy(path, fbPath)
 			pd = fbPD
 			res.Quality = decoder.QualityFallback
 		}
 	} else {
-		st.mst.PathSymbols(st.bestLeaf, mInt, idx)
+		st.mst.PathSymbols(st.bestLeaf, st.m, path)
 	}
-	syms := res.Symbols
-	if cap(syms) < mInt {
-		syms = make(cmatrix.Vector, mInt)
-	}
-	syms = syms[:mInt]
-	for i, id := range idx {
-		syms[i] = d.cfg.Const.Symbol(id)
-	}
-	res.SymbolIdx = idx
-	res.Symbols = syms
+	d.setDecision(res, path, pre.M)
 	res.Metric = pd + offset
 
 	if st.rec != nil {
@@ -589,6 +575,80 @@ func (d *SD) decodePre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qr
 	}
 	st.release()
 	return info, nil
+}
+
+// checkInput validates one received vector and its noise variance against
+// a channel factorization.
+func checkInput(pre *Preprocessed, y cmatrix.Vector, noiseVar float64) error {
+	if err := pre.CheckY(y); err != nil {
+		return err
+	}
+	if noiseVar < 0 || math.IsNaN(noiseVar) {
+		return fmt.Errorf("sphere: invalid noise variance %v", noiseVar)
+	}
+	return nil
+}
+
+// acquire checks a pooled search out over pre's reduced tree with ȳ
+// installed, and returns it with the preprocessing flops (the QR charge
+// qrFlops plus the ȳ = Qᴴy rotation) and regular loads to charge each
+// attempt. The RealSE tree is the interleaved real embedding: when the
+// caller pays for preprocessing it also pays for the real factorization
+// (both live on the shared handle and amortize identically across a
+// coherence block), and it streams the 4× larger real factor.
+func (d *SD) acquire(pre *Preprocessed, y cmatrix.Vector, qrFlops int64) (st *search, flops, loads int64) {
+	n, m := int64(pre.N), int64(pre.M)
+	flops, loads = qrFlops+8*n*m, n*m
+	if d.cfg.Strategy == RealSE {
+		rp := pre.Real()
+		st = acquireRealSearch(&d.cfg, rp, d.pam)
+		st.computeRealYbar(pre.F, y)
+		if qrFlops > 0 {
+			flops += rp.Flops
+		}
+		return st, flops, 4 * loads
+	}
+	st = acquireSearch(&d.cfg, pre.F.R)
+	if d.cfg.VerifyGEMM {
+		st.rowMass = pre.RowMass()
+	}
+	st.computeYbar(pre.F, y)
+	return st, flops, loads
+}
+
+// offset is the rotation residual ‖y‖² − ‖ȳ‖² ≥ 0 with
+// ‖y − Hs‖² = ‖ȳ − Rs‖² + offset. Under NormLInf it is zero: an ℓ∞ ball
+// does not survive the orthogonal rotation, so metrics stay in the reduced
+// domain.
+func (d *SD) offset(y cmatrix.Vector, st *search) float64 {
+	if d.cfg.Norm == NormLInf {
+		return 0
+	}
+	return max(0, cmatrix.Norm2Sq(y)-cmatrix.Norm2Sq(st.ybar)) // max: numerical guard
+}
+
+// setDecision writes a decided tree path into res as constellation indices
+// and symbols, reusing res's backing arrays when their capacity suffices. A
+// complex path is antenna-indexed already; a real (RealSE) path is
+// interleaved, so coordinate 2j is the I amplitude of antenna j and 2j+1
+// its Q amplitude.
+func (d *SD) setDecision(res *decoder.Result, path []int, m int) {
+	idx := growInts(res.SymbolIdx, m)
+	syms := res.Symbols
+	if cap(syms) < m {
+		syms = make(cmatrix.Vector, m)
+	}
+	syms = syms[:m]
+	for j := range idx {
+		id := path[j]
+		if d.pam != nil {
+			id = d.pamLabels[path[2*j]]<<d.axisBits | d.pamLabels[path[2*j+1]]
+		}
+		idx[j] = id
+		syms[j] = d.cfg.Const.Symbol(id)
+	}
+	res.SymbolIdx = idx
+	res.Symbols = syms
 }
 
 // DecodeFallback skips the tree search entirely and returns the linear
@@ -612,106 +672,144 @@ func (d *SD) DecodeFallback(h *cmatrix.Matrix, y cmatrix.Vector, noiseVar float6
 
 // DecodeFallbackPre is DecodeFallback against a precomputed factorization.
 // qrFlops follows the DecodePre convention: pre.Flops for a standalone
-// call, 0 when the batch already paid for the factorization.
+// call, 0 when the batch already paid for the factorization. The decision
+// is taken on the configured tree under the configured norm.
 func (d *SD) DecodeFallbackPre(pre *Preprocessed, y cmatrix.Vector, noiseVar float64, qrFlops int64) (*decoder.Result, error) {
-	if err := pre.CheckY(y); err != nil {
+	if err := checkInput(pre, y, noiseVar); err != nil {
 		return nil, err
 	}
-	if noiseVar < 0 || math.IsNaN(noiseVar) {
-		return nil, fmt.Errorf("sphere: invalid noise variance %v", noiseVar)
-	}
-	if d.cfg.Strategy == RealSE {
-		return d.decodeFallbackPreReal(pre, y, qrFlops)
-	}
-	ybar := pre.F.QHMulVec(y)
-	offset := cmatrix.Norm2Sq(y) - cmatrix.Norm2Sq(ybar)
-	if offset < 0 {
-		offset = 0
-	}
-	n, m := int64(pre.N), int64(pre.M)
-	idx, pd, fbFlops := fallbackPoint(pre.F.R, ybar, d.cfg.Const)
-	syms := make(cmatrix.Vector, pre.M)
-	for i, id := range idx {
-		syms[i] = d.cfg.Const.Symbol(id)
-	}
-	var counters decoder.Counters
-	counters.OtherFlops = qrFlops + 8*n*m + fbFlops
-	counters.RegularLoads = n * m
-	return &decoder.Result{
-		SymbolIdx:  idx,
-		Symbols:    syms,
-		Metric:     pd + offset,
-		Counters:   counters,
+	st, flops, loads := d.acquire(pre, y, qrFlops)
+	defer st.release()
+	path, pd, fbFlops := st.fallbackPoint()
+	res := &decoder.Result{
+		Metric:     pd + d.offset(y, st),
 		Quality:    decoder.QualityFallback,
 		DegradedBy: decoder.DegradedByBatchDeadline,
-	}, nil
+	}
+	res.Counters.OtherFlops = flops + fbFlops
+	res.Counters.RegularLoads = loads
+	d.setDecision(res, path, pre.M)
+	return res, nil
 }
 
-// babaiPoint computes the Babai decision-feedback point — successive
-// back-substitution with per-coordinate slicing — returning its symbol
-// indices and its reduced-domain metric ‖ȳ − R·s‖².
-func babaiPoint(r *cmatrix.Matrix, ybar cmatrix.Vector, cons *constellation.Constellation) ([]int, float64) {
-	m := r.Cols
-	idx := make([]int, m)
-	syms := make([]complex128, m)
-	pd := 0.0
-	for k := m - 1; k >= 0; k-- {
-		row := r.Row(k)
-		inner := ybar[k]
-		for i := k + 1; i < m; i++ {
-			inner -= row[i] * syms[i]
+// triangular is a reduced tree as the linear decisions see it: the
+// upper-triangular factor R (row-major m×m), the rotated receive vector ȳ,
+// the tree's alphabet and its per-level metric. T is complex128 for the
+// M-level complex tree and float64 for the 2M-level real tree of RealSE.
+type triangular[T complex128 | float64] struct {
+	r, ybar []T
+	m       int
+	slice   func(T) int     // index of the alphabet point nearest to z
+	point   func(int) T     // alphabet point of an index
+	sq      func(T) float64 // |x|²
+	linf    bool            // a path's metric is its largest increment, not their sum
+}
+
+// linearTree is a triangular system of either scalar type.
+type linearTree interface {
+	babai() ([]int, float64)
+	zf() ([]int, float64)
+}
+
+// linear returns the search's reduced tree as a triangular system.
+func (s *search) linear() linearTree {
+	if s.cfg.Strategy == RealSE {
+		pam := s.pam
+		step := pam[1] - pam[0]
+		return &triangular[float64]{
+			r: s.rr, ybar: s.rybar, m: s.m,
+			slice: func(z float64) int { return nearestPAM(z, pam, step) },
+			point: func(c int) float64 { return pam[c] },
+			sq:    func(x float64) float64 { return x * x },
+			linf:  s.cfg.Norm == NormLInf,
 		}
-		var z complex128
+	}
+	return &triangular[complex128]{
+		r: s.r.Data, ybar: s.ybar, m: s.m,
+		slice: s.cfg.Const.Slice,
+		point: s.cfg.Const.Symbol,
+		sq:    func(x complex128) float64 { return real(x)*real(x) + imag(x)*imag(x) },
+	}
+}
+
+// add accumulates one level's squared increment into a path metric.
+func (t *triangular[T]) add(pd float64, diff T) float64 {
+	if t.linf {
+		return max(pd, t.sq(diff))
+	}
+	return pd + t.sq(diff)
+}
+
+// babai computes the Babai decision-feedback point — successive
+// back-substitution with per-coordinate slicing — returning its alphabet
+// indices and its reduced-domain metric.
+func (t *triangular[T]) babai() ([]int, float64) {
+	idx := make([]int, t.m)
+	vals := make([]T, t.m)
+	pd := 0.0
+	for k := t.m - 1; k >= 0; k-- {
+		row := t.r[k*t.m : (k+1)*t.m]
+		inner := t.ybar[k]
+		for i := k + 1; i < t.m; i++ {
+			inner -= row[i] * vals[i]
+		}
+		var z T
 		if row[k] != 0 {
 			z = inner / row[k]
 		}
-		idx[k] = cons.Slice(z)
-		s := cons.Symbol(idx[k])
-		syms[k] = s
-		diff := inner - row[k]*s
-		pd += real(diff)*real(diff) + imag(diff)*imag(diff)
+		idx[k] = t.slice(z)
+		vals[k] = t.point(idx[k])
+		pd = t.add(pd, inner-row[k]*vals[k])
 	}
 	return idx, pd
 }
 
-// zfPoint computes the sliced zero-forcing decision — solve R·z = ȳ, then
-// slice each coordinate independently — returning its symbol indices and
-// reduced-domain metric. Returns pd = +Inf if R has a (numerically) zero
-// pivot, so callers taking a min simply prefer the Babai point.
-func zfPoint(r *cmatrix.Matrix, ybar cmatrix.Vector, cons *constellation.Constellation) ([]int, float64) {
-	z, err := cmatrix.BackSubstitute(r, ybar[:r.Cols])
-	if err != nil {
-		return nil, math.Inf(1)
+// zf computes the sliced zero-forcing decision — solve R·z = ȳ, then slice
+// each coordinate independently — returning its alphabet indices and
+// reduced-domain metric. Returns pd = +Inf if R has a zero pivot, so
+// callers taking a min simply prefer the Babai point.
+func (t *triangular[T]) zf() ([]int, float64) {
+	z := make([]T, t.m)
+	for k := t.m - 1; k >= 0; k-- {
+		row := t.r[k*t.m : (k+1)*t.m]
+		sum := t.ybar[k]
+		for i := k + 1; i < t.m; i++ {
+			sum -= row[i] * z[i]
+		}
+		if row[k] == 0 {
+			return nil, math.Inf(1)
+		}
+		z[k] = sum / row[k]
 	}
-	m := r.Cols
-	idx := make([]int, m)
-	syms := make(cmatrix.Vector, m)
+	idx := make([]int, t.m)
 	for i, v := range z {
-		idx[i] = cons.Slice(v)
-		syms[i] = cons.Symbol(idx[i])
+		idx[i] = t.slice(v)
+		z[i] = t.point(idx[i])
 	}
 	pd := 0.0
-	for k := 0; k < m; k++ {
-		row := r.Row(k)
-		diff := ybar[k]
-		for i := k; i < m; i++ {
-			diff -= row[i] * syms[i]
+	for k := 0; k < t.m; k++ {
+		row := t.r[k*t.m : (k+1)*t.m]
+		diff := t.ybar[k]
+		for i := k; i < t.m; i++ {
+			diff -= row[i] * z[i]
 		}
-		pd += real(diff)*real(diff) + imag(diff)*imag(diff)
+		pd = t.add(pd, diff)
 	}
 	return idx, pd
 }
 
 // fallbackPoint is the emergency decision of the anytime contract: the
 // better (smaller reduced-domain metric) of the Babai point and the sliced
-// ZF solution. Because the ZF decision is one of the two candidates, the
-// returned metric is never worse than plain zero-forcing detection — the
-// floor the degradation property tests assert against. The returned flops
-// cover both candidates (two O(m²) passes).
-func fallbackPoint(r *cmatrix.Matrix, ybar cmatrix.Vector, cons *constellation.Constellation) ([]int, float64, int64) {
-	bIdx, bPD := babaiPoint(r, ybar, cons)
-	zIdx, zPD := zfPoint(r, ybar, cons)
-	m := int64(r.Cols)
+// ZF solution on the search's tree. Because the ZF decision is one of the
+// two candidates, the returned metric is never worse than plain
+// zero-forcing detection in the active norm — the floor the degradation
+// property tests assert against. The returned path is in tree coordinates
+// (see setDecision); the flops cover both candidates (two O(m²) passes).
+func (s *search) fallbackPoint() ([]int, float64, int64) {
+	t := s.linear()
+	bIdx, bPD := t.babai()
+	zIdx, zPD := t.zf()
+	m := int64(s.m)
 	flops := 24 * m * m // Babai sweep + ZF back-substitution + metric pass
 	if zPD < bPD {
 		return zIdx, zPD, flops
@@ -719,12 +817,12 @@ func fallbackPoint(r *cmatrix.Matrix, ybar cmatrix.Vector, cons *constellation.C
 	return bIdx, bPD, flops
 }
 
-// babaiRadiusSq computes the squared distance of the Babai point and
-// returns it, slightly inflated, as the initial sphere radius. The Babai
-// point is itself a leaf inside that sphere, so the search can never come
-// up empty, and any leaf that survives the radius is at least as good.
-func babaiRadiusSq(r *cmatrix.Matrix, ybar cmatrix.Vector, cons *constellation.Constellation) float64 {
-	_, pd := babaiPoint(r, ybar, cons)
+// babaiRadiusSq computes the metric of the Babai point and returns it,
+// slightly inflated, as the initial sphere radius. The Babai point is
+// itself a leaf inside that sphere, so the search can never come up empty,
+// and any leaf that survives the radius is at least as good.
+func (s *search) babaiRadiusSq() float64 {
+	_, pd := s.linear().babai()
 	radius := pd * (1 + 1e-9)
 	if radius <= 0 {
 		radius = 1e-12 // exact Babai hit: keep the sphere strictly positive
@@ -751,18 +849,24 @@ func (info *SearchInfo) RadiusTrajectory(m int) []float64 {
 }
 
 // initialRadius picks the starting r² per the strategy rules documented on
-// Config.InitialRadiusSq.
-func (d *SD) initialRadius(nRx int, noiseVar float64) float64 {
+// Config.InitialRadiusSq, for a tree of dim levels over nRx receive
+// antennas. The ℓ∞ automatic radius covers the expected maximum of the dim
+// squared real noise components (each N(0, σ²/2)) instead of their sum:
+// E[max] ≈ σ²·ln(dim), scaled by RadiusScale for margin.
+func (d *SD) initialRadius(nRx, dim int, noiseVar float64) float64 {
 	if d.cfg.InitialRadiusSq > 0 {
 		return d.cfg.InitialRadiusSq
 	}
 	if d.cfg.BabaiRadius {
-		// Resolved in DecodeTraced once R and ȳ exist; the fallback here
+		// Resolved in decodePre once R and ȳ exist; the fallback here
 		// only matters if a caller bypasses that path.
 		return math.Inf(1)
 	}
 	if d.cfg.AutoRadius || d.cfg.Strategy == BFS {
 		r := d.cfg.RadiusScale * float64(nRx) * noiseVar
+		if d.cfg.Norm == NormLInf {
+			r = d.cfg.RadiusScale * noiseVar * math.Log(float64(dim))
+		}
 		if r <= 0 {
 			// Noiseless search: fall back to a small positive sphere that
 			// the retry loop can grow until the true solution fits.

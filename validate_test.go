@@ -53,8 +53,8 @@ func TestValidateInputConsistency(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchOptions: the variadic batch surface and its deprecated
-// wrappers must agree.
+// TestDecodeBatchOptions: the variadic batch surface honours WithFallback and
+// WithBudget.
 func TestDecodeBatchOptions(t *testing.T) {
 	cfg := Config{TxAntennas: 4, RxAntennas: 4, Modulation: "4-QAM"}
 	acc, err := NewAccelerator(cfg, VariantOptimized)
@@ -69,17 +69,6 @@ func TestDecodeBatchOptions(t *testing.T) {
 		}
 		links[i] = l
 	}
-	plain, err := acc.DecodeBatch(links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgeted, err := acc.DecodeBatchBudget(links, BatchBudget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.NodesExplored != budgeted.NodesExplored {
-		t.Fatal("deprecated DecodeBatchBudget wrapper diverged")
-	}
 	fb, err := acc.DecodeBatch(links, WithFallback())
 	if err != nil {
 		t.Fatal(err)
@@ -88,13 +77,6 @@ func TestDecodeBatchOptions(t *testing.T) {
 		if det.Quality != "fallback" {
 			t.Fatalf("link %d: fallback batch produced quality %q", i, det.Quality)
 		}
-	}
-	fbOld, err := acc.DecodeBatchFallback(links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.Detections[0].Algorithm != fbOld.Detections[0].Algorithm {
-		t.Fatal("fallback naming diverged between surfaces")
 	}
 	tight, err := acc.DecodeBatch(links, WithBudget(BatchBudget{NodeBudget: 1}))
 	if err != nil {
